@@ -3,7 +3,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify test lint bench bench-serve bench-features \
 	bench-resilience bench-explore bench-place bench-net \
-	bench-predict help
+	bench-predict e2e help
 
 help:
 	@echo "make verify         - tier-1 gate: full test + benchmark suite (-x -q)"
@@ -17,6 +17,7 @@ help:
 	@echo "make bench-place    - placer bench (center vs analytic vs loop reference), write benchmarks/out/BENCH_place.json"
 	@echo "make bench-net      - TCP serving-edge bench (clean / wire faults / hot-swap / drain), write benchmarks/out/BENCH_net.json"
 	@echo "make bench-predict  - compiled-kernel vs object-walk + pool throughput bench, write benchmarks/out/BENCH_predict.json"
+	@echo "make e2e            - repo benchmark: one 15 s whatif_cold run (seed 1, untraced); see e2ebench/README.md"
 
 verify:
 	$(PYTHON) -m pytest -x -q
@@ -54,3 +55,6 @@ bench-net:
 
 bench-predict:
 	$(PYTHON) benchmarks/perf/run_bench.py --predict --repeat 3 --requests 240
+
+e2e:
+	python3 e2ebench/run.py --workload whatif_cold --seed 1 --seconds 15 --trace 0

@@ -18,15 +18,10 @@ turns into congestion.  Two initial placements are available
 The annealer is vectorized: cluster positions, per-net pin indices and
 per-net bounding-box costs live in NumPy arrays, and each temperature
 sweep proposes and evaluates its whole move batch in bulk before a
-sequential conflict-free acceptance pass.  Move evaluation is
-VPR-style *incremental*: per net the current bbox extremes (min/max x/y)
-and their occupancy counts are tracked, so a proposal's cost delta is
-O(incident nets) arithmetic — the ragged pin expansion only runs for
-moves that vacate a sole extreme pin (``delta_mode = "incremental"``;
-the pre-incremental full ``reduceat`` re-evaluation survives as
-``delta_mode = "full"`` for benchmarking and the bit-consistency tests,
-and both modes produce bit-identical trajectories).  The original
-one-move-at-a-time loop survives as
+sequential conflict-free acceptance pass.  2-pin nets (the vast
+majority) substitute their swapped endpoints directly; multi-pin nets
+are re-evaluated by one ragged ``reduceat`` bounding-box pass over every
+affected net.  The original one-move-at-a-time loop survives as
 :class:`repro.impl._reference.ReferenceAnnealer` and the equivalence
 tests assert this implementation places at least as well under the same
 seed.
@@ -59,16 +54,15 @@ _ANALYTIC_ACCEPT_PROB = 0.4
 #: Jacobi relaxation sweeps of the analytic initial placement.
 _ANALYTIC_ITERATIONS = 8
 
-#: Quality governor of the analytic initial placement, in the same
-#: spirit as ``Annealer.quench_budget``: it blends the order in which
-#: the compact site pool is consumed between the center-distance rings
-#: of the default fill (0.0) and the Morton curve (1.0).  Pure curve
-#: order realizes the relaxation's neighborhoods so faithfully that
-#: wirelength lands ~2x below the annealed center fill — which *washes
-#: out* the congestion hotspots every paper table asserts.  The default
-#: is tuned so an analytic-init anneal lands in the same final-cost and
-#: congestion-regime band as the default center-init schedule, just in
-#: a third of the sweeps.
+#: Quality governor of the analytic initial placement: it blends the
+#: order in which the compact site pool is consumed between the
+#: center-distance rings of the default fill (0.0) and the Morton curve
+#: (1.0).  Pure curve order realizes the relaxation's neighborhoods so
+#: faithfully that wirelength lands ~2x below the annealed center fill —
+#: which *washes out* the congestion hotspots every paper table asserts.
+#: The default is tuned so an analytic-init anneal lands in the same
+#: final-cost and congestion-regime band as the default center-init
+#: schedule, just in a third of the sweeps.
 _ANALYTIC_BLEND = 0.25
 
 _INIT_MODES = ("center", "analytic")
@@ -160,25 +154,6 @@ class Placement:
         return xs, ys
 
 
-class _NetExtremes:
-    """Per-net bbox extremes and their occupancy counts (VPR-style).
-
-    ``lo``/``hi`` are ``(2, n_nets)`` arrays — row 0 the x edge, row 1
-    the y edge — holding the current bounding-box min/max of every net;
-    ``clo``/``chi`` count how many pins sit exactly on each edge.  A
-    move off an edge with count > 1 leaves the edge in place; only a
-    sole-occupant departure ("extreme-vacating" move) needs the ragged
-    re-scan.  The stacked x/y layout lets every consumer touch both
-    axes with one gather and one arithmetic op instead of two.
-    """
-
-    __slots__ = ("lo", "hi", "clo", "chi")
-
-    def __init__(self, lo, hi, clo, chi):
-        self.lo, self.hi = lo, hi
-        self.clo, self.chi = clo, chi
-
-
 def _morton_codes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Interleaved-bit (Z-order) codes of integer coordinates < 2^16."""
     code = np.zeros(x.shape, dtype=np.int64)
@@ -191,42 +166,20 @@ def _morton_codes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class Annealer:
     """Swap simulated annealing over tile sites, batched per sweep.
 
-    Class-level batching knobs (overridable for experiments):
+    ``sweep_chunks`` (class-level, overridable for experiments) is the
+    number of proposal batches per temperature sweep.  More chunks
+    refresh deltas more often and track the one-move-at-a-time
+    reference more closely, at a higher fixed cost per sweep.
 
-    * ``sweep_chunks`` — proposal batches per temperature sweep.  More
-      chunks refresh deltas more often and track the one-move-at-a-time
-      reference more closely, at a higher fixed cost per sweep.
-    * ``delta_mode`` — ``"incremental"`` evaluates multi-pin proposals
-      against tracked per-net bbox extremes (O(incident nets)
-      arithmetic, ragged pin expansion only on extreme-vacating moves);
-      ``"full"`` re-evaluates every affected multi-pin net with the
-      ragged ``reduceat`` pass (the pre-incremental implementation).
-      Both modes compute bit-identical deltas, so the annealing
-      trajectory is the same, and the default ``"auto"`` dispatches on
-      workload: the extremes arithmetic is asymptotically cheaper but
-      issues a fixed ~3x more (tiny-array) NumPy calls per chunk, so it
-      only amortizes once the design's multi-pin pin mass is large —
-      below ``incremental_min_pins`` the ragged batch is measurably
-      faster (on xc7z020-scale designs the paper combos sit well below
-      the crossover; see ``BENCH_place.json``).
-    * ``quench_passes`` / ``quench_budget`` — optional zero-temperature
-      polishing after the cooling schedule.  Disabled by default: the
-      annealer targets quality *parity* with the loop reference (the
-      congestion distributions every paper table is calibrated against),
-      not maximal quality.  A markedly better placer would erase the
-      very hotspots the paper predicts.  The analytic init rides the
-      same discipline: its schedule is tuned to land in the reference's
-      quality band, not far below it.
+    The annealer targets quality *parity* with the loop reference (the
+    congestion distributions every paper table is calibrated against),
+    not maximal quality: a markedly better placer would erase the very
+    hotspots the paper predicts.  The analytic init rides the same
+    discipline: its schedule is tuned to land in the reference's
+    quality band, not far below it.
     """
 
     sweep_chunks: int = 10
-    delta_mode: str = "auto"
-    #: ``delta_mode="auto"`` resolves to "incremental" once the pins in
-    #: multi-pin nets exceed this (measured crossover of extremes
-    #: arithmetic vs the ragged batch re-evaluation)
-    incremental_min_pins: int = 8192
-    quench_passes: int = 0
-    quench_budget: float = 0.03
     #: proposals used to estimate the starting temperature
     temp_probe: int = 128
 
@@ -318,18 +271,6 @@ class Annealer:
         placement = self._initial_placement()
         self._anneal(placement)
         return placement
-
-    def _use_extremes(self) -> bool:
-        """Resolve ``delta_mode`` ("auto" dispatches on workload)."""
-        if self.delta_mode == "auto":
-            multi = self._net_len != 2
-            return int(self._net_len[multi].sum()) >= self.incremental_min_pins
-        if self.delta_mode not in ("incremental", "full"):
-            raise PlacementError(
-                f"unknown delta_mode {self.delta_mode!r}; "
-                "expected 'auto', 'incremental', or 'full'"
-            )
-        return self.delta_mode == "incremental"
 
     # ------------------------------------------------------------------
     def _place_ports(self, placement: Placement) -> None:
@@ -524,79 +465,16 @@ class Annealer:
         dy = np.maximum.reduceat(py, starts) - np.minimum.reduceat(py, starts)
         return self._net_width_arr * (dx + dy)
 
-    def _net_extremes(self, xs: np.ndarray, ys: np.ndarray) -> _NetExtremes:
-        """Full rebuild of per-net extremes + edge occupancy counts."""
-        if self._n_nets == 0:
-            z = np.zeros((2, 0), dtype=np.int64)
-            return _NetExtremes(z.copy(), z.copy(), z.copy(), z.copy())
-        pxy = np.stack((xs, ys))[:, self._pins_flat]
-        starts = self._net_ptr[:-1]
-        seg = self._pin_net
-        lo = np.minimum.reduceat(pxy, starts, axis=1)
-        hi = np.maximum.reduceat(pxy, starts, axis=1)
-        clo = np.add.reduceat(
-            (pxy == lo[:, seg]).astype(np.int64), starts, axis=1)
-        chi = np.add.reduceat(
-            (pxy == hi[:, seg]).astype(np.int64), starts, axis=1)
-        return _NetExtremes(lo, hi, clo, chi)
-
-    def _refresh_extremes(
-        self, nets: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-        bb: _NetExtremes,
-    ) -> None:
-        """Recompute extremes + counts of just ``nets`` from scratch."""
-        if nets.size == 0:
-            return
-        plen = self._net_len[nets]
-        poff = np.zeros(nets.size + 1, dtype=np.int64)
-        np.cumsum(plen, out=poff[1:])
-        n_pins = int(poff[-1])
-        ppair = np.repeat(np.arange(nets.size, dtype=np.int64), plen)
-        pwithin = np.arange(n_pins, dtype=np.int64) - poff[ppair]
-        cid = self._pins_flat[self._net_ptr[nets[ppair]] + pwithin]
-        pxy = np.stack((xs[cid], ys[cid]))
-        starts = poff[:-1]
-        lo = np.minimum.reduceat(pxy, starts, axis=1)
-        hi = np.maximum.reduceat(pxy, starts, axis=1)
-        bb.lo[:, nets] = lo
-        bb.hi[:, nets] = hi
-        bb.clo[:, nets] = np.add.reduceat(
-            (pxy == lo[:, ppair]).astype(np.int64), starts, axis=1)
-        bb.chi[:, nets] = np.add.reduceat(
-            (pxy == hi[:, ppair]).astype(np.int64), starts, axis=1)
-
-    def _net_costs_subset(
-        self, nets: np.ndarray, xs: np.ndarray, ys: np.ndarray
-    ) -> np.ndarray:
-        """Exact current cost of just ``nets`` (ragged reduceat)."""
-        if nets.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        plen = self._net_len[nets]
-        poff = np.zeros(nets.size + 1, dtype=np.int64)
-        np.cumsum(plen, out=poff[1:])
-        n_pins = int(poff[-1])
-        ppair = np.repeat(np.arange(nets.size, dtype=np.int64), plen)
-        pwithin = np.arange(n_pins, dtype=np.int64) - poff[ppair]
-        cid = self._pins_flat[self._net_ptr[nets[ppair]] + pwithin]
-        coords = np.concatenate([xs[cid], ys[cid]])
-        starts = np.concatenate([poff[:-1], poff[:-1] + n_pins])
-        span = np.maximum.reduceat(coords, starts) - np.minimum.reduceat(
-            coords, starts
-        )
-        return self._net_width_arr[nets] * (
-            span[:nets.size] + span[nets.size:]
-        )
-
-    def _swapped_net_costs(
+    def _ragged_net_costs(
         self,
         nets: np.ndarray,
-        pa: np.ndarray,
-        pb: np.ndarray,
         xs: np.ndarray,
         ys: np.ndarray,
+        swap: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> np.ndarray:
-        """Post-swap cost of ``nets[i]`` under swap ``pa[i] <-> pb[i]``,
-        by ragged pin expansion with the swapped ids substituted."""
+        """Cost of each of the (non-empty) ``nets`` by ragged pin
+        expansion; with ``swap=(pa, pb)``, the cost of ``nets[i]`` after
+        swapping clusters ``pa[i] <-> pb[i]``."""
         plen = self._net_len[nets]
         poff = np.zeros(nets.size + 1, dtype=np.int64)
         np.cumsum(plen, out=poff[1:])
@@ -604,11 +482,12 @@ class Annealer:
         ppair = np.repeat(np.arange(nets.size, dtype=np.int64), plen)
         pwithin = np.arange(n_pins, dtype=np.int64) - poff[ppair]
         cid = self._pins_flat[self._net_ptr[nets[ppair]] + pwithin]
-        sa = pa[ppair]
-        sb = pb[ppair]
-        eff = np.where(cid == sa, sb, np.where(cid == sb, sa, cid))
+        if swap is not None:
+            sa = swap[0][ppair]
+            sb = swap[1][ppair]
+            cid = np.where(cid == sa, sb, np.where(cid == sb, sa, cid))
         # One reduceat over the concatenated x/y coordinate stream.
-        coords = np.concatenate([xs[eff], ys[eff]])
+        coords = np.concatenate([xs[cid], ys[cid]])
         starts = np.concatenate([poff[:-1], poff[:-1] + n_pins])
         span = np.maximum.reduceat(coords, starts) - np.minimum.reduceat(
             coords, starts
@@ -624,19 +503,14 @@ class Annealer:
         xs: np.ndarray,
         ys: np.ndarray,
         net_cost: np.ndarray,
-        bb: _NetExtremes | None = None,
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Cost delta of swapping ``a[i] <-> b[i]``, for every proposal.
 
         All proposals are evaluated against the *current* placement:
         affected nets come per proposal from the cluster->nets CSR; 2-pin
-        nets (the vast majority) substitute their two endpoints directly.
-        Multi-pin nets go through the tracked bbox extremes when ``bb``
-        is given (O(1) arithmetic per incident net; only moves that
-        vacate a sole extreme pin re-scan their pin list), or through the
-        full ragged ``reduceat`` re-evaluation when ``bb`` is ``None``
-        (``delta_mode="full"``).  Both paths produce bit-identical
-        deltas.
+        nets (the vast majority) substitute their two endpoints directly,
+        and multi-pin nets go through one ragged ``reduceat`` bounding-box
+        re-evaluation.
 
         Returns ``(deltas, (prop_e, net_e, after_e))`` where the second
         element lists every evaluated (proposal, net) pair with its
@@ -665,9 +539,7 @@ class Annealer:
         # A net incident to BOTH swap ends appears twice here, but a
         # swap permutes that net's own pin positions, so its before and
         # after costs are equal and the duplicate contributes zero —
-        # no deduplication pass is needed on the full path (the
-        # incremental path detects the duplicates explicitly, because a
-        # single-pin-move evaluation would be wrong for them).
+        # no deduplication pass is needed.
         after_e = np.empty(nets_cat.size, dtype=np.float64)
         plen = self._net_len[nets_cat]
         two = plen == 2
@@ -687,65 +559,13 @@ class Annealer:
                 np.abs(xs[ue] - xs[ve]) + np.abs(ys[ue] - ys[ve])
             )
 
-        # Multi-pin nets.
+        # Multi-pin nets: ragged reduceat bounding boxes over every
+        # affected net.
         multi = np.flatnonzero(~two)
-        if multi.size and bb is None:
-            # Full re-evaluation (delta_mode="full"): ragged reduceat
-            # bounding boxes over every affected multi-pin net.
-            after_e[multi] = self._swapped_net_costs(
-                nets_cat[multi], a[prop[multi]], b[prop[multi]], xs, ys
+        if multi.size:
+            after_e[multi] = self._ragged_net_costs(
+                nets_cat[multi], xs, ys, swap=(a[prop[multi]], b[prop[multi]])
             )
-        elif multi.size:
-            # Incremental path: a (proposal, net) entry is a single-pin
-            # move unless the net touches both swap ends.  Detect the
-            # both-ends duplicates first — their swap permutes the net's
-            # own pins, cost unchanged.
-            mprop = prop[multi]
-            mnets = nets_cat[multi]
-            key = mprop * np.int64(self._n_nets) + mnets
-            korder = np.argsort(key, kind="stable")
-            sk = key[korder]
-            eq = sk[1:] == sk[:-1]
-            dup_sorted = np.zeros(korder.size, dtype=bool)
-            dup_sorted[1:] |= eq
-            dup_sorted[:-1] |= eq
-            both = np.zeros(korder.size, dtype=bool)
-            both[korder] = dup_sorted
-            if both.any():
-                idx = multi[both]
-                after_e[idx] = net_cost[nets_cat[idx]]
-
-            solo = multi[~both]
-            if solo.size:
-                sprop = prop[solo]
-                snets = nets_cat[solo]
-                swap_in_a = in_a[solo]
-                moved = np.where(swap_in_a, a[sprop], b[sprop])
-                dest = np.where(swap_in_a, b[sprop], a[sprop])
-                # (2, k) stacks: row 0 = x axis, row 1 = y axis
-                opos = np.stack((xs[moved], ys[moved]))
-                npos = np.stack((xs[dest], ys[dest]))
-                glo = bb.lo[:, snets]
-                ghi = bb.hi[:, snets]
-                nlo = np.minimum(npos, glo)
-                nhi = np.maximum(npos, ghi)
-                vac = (
-                    ((npos < ghi) & (opos == ghi) & (bb.chi[:, snets] == 1))
-                    | ((npos > glo) & (opos == glo) & (bb.clo[:, snets] == 1))
-                ).any(axis=0)
-                keep = ~vac
-                after_e[solo[keep]] = self._net_width_arr[snets[keep]] * (
-                    (nhi - nlo)[:, keep].sum(axis=0)
-                )
-                if vac.any():
-                    # Extreme-vacating moves: the surviving edge is
-                    # unknown without the other pins — ragged re-scan of
-                    # just these nets.
-                    ridx = solo[vac]
-                    after_e[ridx] = self._swapped_net_costs(
-                        nets_cat[ridx], a[prop[ridx]], b[prop[ridx]],
-                        xs, ys,
-                    )
 
         deltas = np.bincount(
             prop, weights=after_e - net_cost[nets_cat], minlength=n_props
@@ -755,7 +575,6 @@ class Annealer:
     # ------------------------------------------------------------------
     def _anneal(self, placement: Placement) -> None:
         options = self.options
-        incremental = self._use_extremes()
         movable = [
             c.cluster_id for c in self.packing.clusters
             if c.cluster_id not in self._fixed
@@ -790,11 +609,10 @@ class Annealer:
         xs, ys = placement.coordinate_arrays()
         net_cost = self._net_costs(xs, ys)
         cost = float(net_cost.sum())
-        bb = self._net_extremes(xs, ys) if incremental else None
 
         # Estimate the initial temperature from a batch of random deltas.
         a0, b0 = propose(min(self.temp_probe, len(movable)))
-        d0 = np.abs(self._batch_swap_deltas(a0, b0, xs, ys, net_cost, bb)[0])
+        d0 = np.abs(self._batch_swap_deltas(a0, b0, xs, ys, net_cost)[0])
         mean_delta = float(d0.mean()) if d0.size else 1.0
         accept_prob = options.initial_accept_prob
         if options.init == "analytic":
@@ -810,9 +628,7 @@ class Annealer:
         best_xs, best_ys = xs.copy(), ys.copy()
         touched = bytearray(self._n_clusters)
 
-        def run_chunk(
-            a: np.ndarray, b: np.ndarray, chunk_temp: float
-        ) -> tuple[int, int]:
+        def run_chunk(a: np.ndarray, b: np.ndarray) -> tuple[int, int]:
             """Evaluate one proposal chunk against the current state and
             apply the conflict-free accepted swaps.
 
@@ -828,15 +644,12 @@ class Annealer:
             if a.size == 0:
                 return 0, 0
             deltas, (prop_e, net_e, after_e) = self._batch_swap_deltas(
-                a, b, xs, ys, net_cost, bb
+                a, b, xs, ys, net_cost
             )
-            if chunk_temp > 0.0:
-                unif = rng.random(a.size)
-                accept = (deltas <= 0) | (
-                    unif < np.exp(-np.maximum(deltas, 0.0) / chunk_temp)
-                )
-            else:
-                accept = deltas < 0
+            unif = rng.random(a.size)
+            accept = (deltas <= 0) | (
+                unif < np.exp(-np.maximum(deltas, 0.0) / temp)
+            )
             # Sequential first-come acceptance: a cluster moves at most
             # once per chunk so every applied delta was evaluated
             # against positions that are still current.  Plain-python
@@ -861,13 +674,13 @@ class Annealer:
             applied_mask = np.zeros(a.size, dtype=bool)
             idx = np.asarray(chosen, dtype=np.int64)
             applied_mask[idx] = True
-            aa, bb_ = a[idx], b[idx]
+            aa, bb = a[idx], b[idx]
             tmp = xs[aa].copy()
-            xs[aa] = xs[bb_]
-            xs[bb_] = tmp
+            xs[aa] = xs[bb]
+            xs[bb] = tmp
             tmp = ys[aa].copy()
-            ys[aa] = ys[bb_]
-            ys[bb_] = tmp
+            ys[aa] = ys[bb]
+            ys[bb] = tmp
             for i in chosen:
                 touched[a_list[i]] = 0
                 touched[b_list[i]] = 0
@@ -886,18 +699,9 @@ class Annealer:
             net_cost[n_once] = after_app[once]
             shared = np.flatnonzero(counts > 1)
             if shared.size:
-                new_vals = self._net_costs_subset(shared, xs, ys)
+                new_vals = self._ragged_net_costs(shared, xs, ys)
                 cost += float((new_vals - net_cost[shared]).sum())
                 net_cost[shared] = new_vals
-            if bb is not None:
-                # derived state: rebuild extremes of every applied
-                # multi-pin net from the now-current positions (2-pin
-                # nets never consult the extremes, and cost/net_cost
-                # above stay bit-identical to the full-mode bookkeeping)
-                upd = np.flatnonzero(counts)
-                self._refresh_extremes(
-                    upd[self._net_len[upd] != 2], xs, ys, bb
-                )
             return idx.size, consumed
 
         n_moves = max(1, int(options.moves_per_cluster * len(movable)))
@@ -912,7 +716,7 @@ class Annealer:
                     break
                 a, b = propose(min(chunk, n_moves - done))
                 placement.n_moves += int(a.size)
-                n_applied, consumed = run_chunk(a, b, temp)
+                n_applied, consumed = run_chunk(a, b)
                 done += max(consumed, 1)
                 applied += n_applied
                 placement.n_accepted += n_applied
@@ -921,35 +725,6 @@ class Annealer:
                 best_xs, best_ys = xs.copy(), ys.copy()
             temp *= options.cooling
             if applied == 0 and temp < 1e-3:
-                break
-
-        # Greedy quench: zero-temperature batches on the best state seen.
-        # The improvement budget is capped so the result stays *seed
-        # comparable*: just enough polish to robustly reach the
-        # sequential reference's quality, not so much that placements
-        # get dramatically better and the congestion distributions the
-        # paper's tables rely on wash out.
-        xs, ys = best_xs.copy(), best_ys.copy()
-        net_cost = self._net_costs(xs, ys)
-        cost = float(net_cost.sum())
-        if incremental:
-            bb = self._net_extremes(xs, ys)
-        floor = (1.0 - self.quench_budget) * cost
-        stale = 0
-        for _ in range(self.quench_passes):
-            prev = cost
-            if cost <= floor:
-                break
-            a, b = propose(n_moves)
-            placement.n_moves += int(a.size)
-            n_applied, _ = run_chunk(a, b, 0.0)
-            placement.n_accepted += n_applied
-            if cost < best_cost:
-                best_cost = cost
-                best_xs, best_ys = xs.copy(), ys.copy()
-            improved_enough = prev - cost >= 3e-3 * max(prev, 1.0)
-            stale = 0 if (n_applied and improved_enough) else stale + 1
-            if stale >= 2:
                 break
 
         # Keep the best placement seen (never worse than the initial).

@@ -42,12 +42,14 @@ from dataclasses import dataclass
 
 from repro.errors import (
     DeadlineExceededError,
+    DirectiveError,
     OverloadedError,
     ProtocolError,
     ReproError,
     ServeError,
     ServerClosedError,
 )
+from repro.hls.directives import DirectiveSet
 from repro.serve.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
     error_message,
@@ -78,6 +80,44 @@ def error_code_for(exc: BaseException) -> str:
     return "internal"
 
 
+def _as_tuples(value):
+    """JSON arrays, at every depth, as tuples."""
+    if isinstance(value, list):
+        return tuple(_as_tuples(item) for item in value)
+    return value
+
+
+def _directive_key_from_wire(entries: list) -> tuple:
+    """Canonical :meth:`DirectiveSet.to_key` tuple from its JSON form.
+
+    JSON turns every tuple level of a key into a list; the key becomes
+    hashable again only once each level is a tuple.  Round-tripping
+    through :class:`DirectiveSet` also sorts the entries, so a client's
+    ordering never splits one configuration over two cache slots.
+    Raises :class:`ServeError` on a key that does not describe a
+    directive set of names and integers.
+    """
+    try:
+        key = DirectiveSet.from_key(_as_tuples(entries)).to_key()
+    except (DirectiveError, TypeError) as exc:
+        raise ServeError(f"'directives' is not a directive key: {exc}") \
+            from exc
+    _, inlines, *numbered = key
+    if not (
+        all(isinstance(function, str) for (function,) in inlines)
+        and all(
+            isinstance(function, str) and isinstance(target, str)
+            and isinstance(n, int) and not isinstance(n, bool)
+            for kind in numbered for function, target, n in kind
+        )
+    ):
+        raise ServeError(
+            "'directives' entries must be names and integers, got "
+            f"{entries!r}"
+        )
+    return key
+
+
 def request_from_wire(message: dict) -> tuple[PredictRequest, float | None]:
     """Build a :class:`PredictRequest` from a ``predict`` frame.
 
@@ -98,10 +138,7 @@ def request_from_wire(message: dict) -> tuple[PredictRequest, float | None]:
     if directives is not None:
         if not isinstance(directives, list):
             raise ServeError("'directives' must be a list of entries")
-        directives = tuple(
-            tuple(entry) if isinstance(entry, list) else entry
-            for entry in directives
-        )
+        directives = _directive_key_from_wire(directives)
     timeout_ms = message.get("timeout_ms")
     timeout_s: float | None = None
     if timeout_ms is not None:

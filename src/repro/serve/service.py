@@ -26,7 +26,6 @@
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass, field
 
@@ -162,13 +161,6 @@ class CongestionService:
             self.registry = registry
         #: the HLS prefix — hls + dependency graph, nothing physical
         self.pipeline = FlowPipeline.default().subset(["graph"])
-        #: *pristine* built designs per token, stored as pickled bytes.
-        #: The pipeline's HLS stage mutates the design module in place,
-        #: so memoizing the object itself would hand later callers a
-        #: half-transformed module (directive transforms double-applied
-        #: on re-synthesis); every use deserializes a fresh copy and
-        #: the memo only saves the deterministic-but-slow IR rebuild.
-        self._designs: dict[tuple, bytes] = {}
         self._predictor: CongestionPredictor | None = None
         self._model_source = ""
         self._model_generation = 0
@@ -188,10 +180,9 @@ class CongestionService:
         #: sweep can't pin every design module it ever touched.
         self._feature_cache: dict[tuple, tuple] = {}
         self._feature_cache_max = 128
-        #: concurrent workers may warm/build through one service; these
-        #: keep "train exactly once" and the design memo race-free
+        #: concurrent workers may warm through one service; this keeps
+        #: "train exactly once" race-free
         self._warm_lock = threading.Lock()
-        self._design_lock = threading.Lock()
         self._counters = {
             "predictions": 0, "batches": 0, "trained": 0,
             "registry_loads": 0, "stale_rejections": 0,
@@ -334,6 +325,17 @@ class CongestionService:
     # request handling
     # ------------------------------------------------------------------
     def _build_design(self, request: PredictRequest):
+        """A freshly built ``(design, token)`` for one request.
+
+        Built anew on every call: the pipeline's HLS stage mutates the
+        design module in place, so a shared instance would hand later
+        callers a half-transformed module (directive transforms
+        double-applied on re-synthesis), and a rebuild costs less than
+        a pickled copy would.  Builds and HLS transforms share the
+        process-global op-uid counter, so callers must not run
+        ``predict_batch`` concurrently on one process (the resilient
+        server serializes it under its service lock).
+        """
         if request.design in KERNEL_BUILDERS:
             build, combined = build_kernel, False
         elif request.design in PAPER_COMBINATIONS:
@@ -347,25 +349,18 @@ class CongestionService:
             request.design, request.variant, self.options.scale, combined,
             request.directives,
         )
-        with self._design_lock:
-            if token not in self._designs:
-                design = build(
-                    request.design, scale=self.options.scale,
-                    variant=request.variant,
-                )
-                if request.directives is not None:
-                    directives = DirectiveSet.from_key(
-                        request.directives,
-                        name=f"{request.design}:{request.variant}:whatif",
-                    )
-                    directives.validate(design.module)
-                    design.directives = directives
-                self._designs[token] = pickle.dumps(
-                    design, protocol=pickle.HIGHEST_PROTOCOL
-                )
-            # fresh copy per use: the caller's pipeline run will mutate
-            # it, and the memoized pristine bytes must stay pristine
-            return pickle.loads(self._designs[token]), token
+        design = build(
+            request.design, scale=self.options.scale,
+            variant=request.variant,
+        )
+        if request.directives is not None:
+            directives = DirectiveSet.from_key(
+                request.directives,
+                name=f"{request.design}:{request.variant}:whatif",
+            )
+            directives.validate(design.module)
+            design.directives = directives
+        return design, token
 
     def _extract_features(self, request: PredictRequest,
                           deadline: float | None = None):
@@ -375,8 +370,8 @@ class CongestionService:
         Runs only the HLS-prefix pipeline; stage artifacts are memoized
         under the design token so repeated requests skip synthesis.
         Everything here is model-independent, so the whole tuple is
-        additionally memoized per group: a warm group skips design
-        deserialization, the pipeline walk and feature extraction
+        additionally memoized per group: a warm group skips the design
+        build, the pipeline walk and feature extraction
         entirely, leaving just the model invocation and per-region
         maxima on the hot path.
         """

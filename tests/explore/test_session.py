@@ -50,7 +50,6 @@ def test_sweep_never_places_or_routes(service, monkeypatch):
     for stage_fn in IMPLEMENTATION_STAGE_FNS:
         monkeypatch.setattr(pipeline_mod, stage_fn, boom)
     # fresh-process simulation: empty stage store + cold predictions
-    # (the design memo stores pristine designs, so it may survive)
     monkeypatch.setitem(
         cache_mod._GLOBAL_STORES, "flow_stages", KeyedCache()
     )
@@ -67,9 +66,8 @@ def test_each_unique_signature_computed_exactly_once(service, monkeypatch):
     monkeypatch.setitem(
         cache_mod._GLOBAL_STORES, "flow_stages", KeyedCache()
     )
-    # start prediction-cold too (earlier tests share the service); the
-    # pristine design memo needs no clearing — a memoized design is
-    # handed out as a fresh un-synthesized copy every time
+    # start prediction-cold too (earlier tests share the service);
+    # designs are built fresh per request, so nothing else needs clearing
     monkeypatch.setattr(service, "_prediction_cache", {})
     monkeypatch.setattr(service, "_feature_cache", {})
     session = _session(service)

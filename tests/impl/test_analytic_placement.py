@@ -1,20 +1,13 @@
-"""Incremental-bbox placer + analytic init invariants.
+"""Analytic initial placement and placement-shape invariants.
 
-Three property families pin the PR that introduced per-net bbox
-extremes and the analytic initial placement:
-
-* **bit-identity** — ``delta_mode="incremental"`` and ``"full"`` are
-  the same annealer: identical deltas per proposal batch and identical
-  final placements under the same seed (the incremental path is pure
-  integer extreme arithmetic, so there is no float divergence to
-  tolerate);
-* **extremes consistency** — after any randomized swap sequence, the
-  incrementally refreshed extreme/occupancy arrays equal a from-scratch
-  rebuild bit-for-bit;
 * **seed parity** — analytic init must land in the loop reference's
   quality band on pinned seeds and must NOT wash out the congestion
   hotspots the paper's tables are calibrated against (same hot-area
-  statistic as ``benchmarks/test_table1_motivation.py``).
+  statistic as ``benchmarks/test_table1_motivation.py``);
+* **legality** — every cluster sits on a site of its kind, within
+  capacity;
+* **shape** — ``Placement.coordinate_arrays`` is sized by the packing's
+  dense cluster-id domain.
 
 The parity seeds are pinned per kernel like
 ``test_vectorized_equivalence.py`` pins its: annealing quality under a
@@ -23,7 +16,6 @@ code makes (see BENCH_place.json) is about the paper combos at scale
 1.0, which ``test_analytic_beats_reference_on_paper_combo`` covers.
 """
 
-import numpy as np
 import pytest
 
 from repro.errors import PlacementError
@@ -57,89 +49,6 @@ def spam_impl():
 @pytest.fixture(scope="module")
 def flow_impl():
     return _implement("optical_flow")
-
-
-def _forced(impl, mode, **options):
-    netlist, packing, device = impl
-    annealer = Annealer(netlist, packing, device,
-                        PlacementOptions(effort="fast", **options))
-    annealer.delta_mode = mode
-    return annealer
-
-
-# -- bit-identity ------------------------------------------------------
-
-@pytest.mark.parametrize("seed", (0, 3))
-@pytest.mark.parametrize("init", ("center", "analytic"))
-def test_delta_modes_place_bit_identically(spam_impl, seed, init):
-    placements = {
-        mode: _forced(spam_impl, mode, seed=seed, init=init).place()
-        for mode in ("full", "incremental")
-    }
-    full, incremental = placements["full"], placements["incremental"]
-    assert incremental.positions == full.positions
-    assert incremental.cost == full.cost
-    assert incremental.n_moves == full.n_moves
-    assert incremental.n_accepted == full.n_accepted
-
-
-def test_batch_deltas_agree_between_modes(flow_impl):
-    annealer = _forced(flow_impl, "full", seed=0)
-    placement = annealer._initial_placement()
-    xs, ys = placement.coordinate_arrays()
-    net_cost = annealer._net_costs(xs, ys)
-    bb = annealer._net_extremes(xs, ys)
-
-    rng = np.random.default_rng(7)
-    movable = np.asarray(
-        sorted(set(range(annealer._n_clusters)) - annealer._fixed),
-        dtype=np.int64,
-    )
-    for _ in range(5):
-        a = movable[rng.integers(movable.size, size=64)]
-        b = movable[rng.integers(movable.size, size=64)]
-        keep = a != b
-        a, b = a[keep], b[keep]
-        d_full, _ = annealer._batch_swap_deltas(a, b, xs, ys, net_cost)
-        d_inc, _ = annealer._batch_swap_deltas(a, b, xs, ys, net_cost,
-                                               bb=bb)
-        assert np.array_equal(d_full, d_inc)
-
-
-def test_extremes_match_rebuild_after_random_swaps(flow_impl):
-    annealer = _forced(flow_impl, "incremental", seed=1)
-    placement = annealer._initial_placement()
-    xs, ys = placement.coordinate_arrays()
-    bb = annealer._net_extremes(xs, ys)
-
-    rng = np.random.default_rng(11)
-    movable = np.asarray(
-        sorted(set(range(annealer._n_clusters)) - annealer._fixed),
-        dtype=np.int64,
-    )
-    multi = annealer._net_len != 2
-    for _ in range(8):
-        a = movable[rng.integers(movable.size, size=32)]
-        b = movable[rng.integers(movable.size, size=32)]
-        keep = a != b
-        a, b = a[keep], b[keep]
-        xs[a], xs[b] = xs[b], xs[a].copy()
-        ys[a], ys[b] = ys[b], ys[a].copy()
-        # the same refresh the annealer issues after applying swaps:
-        # every multi-pin net incident to a moved cluster
-        touched = np.zeros(annealer._n_nets, dtype=bool)
-        for cid in np.concatenate([a, b]):
-            lo, hi = annealer._cl_ptr[cid], annealer._cl_ptr[cid + 1]
-            touched[annealer._cl_nets[lo:hi]] = True
-        annealer._refresh_extremes(
-            np.flatnonzero(touched & multi), xs, ys, bb
-        )
-        fresh = annealer._net_extremes(xs, ys)
-        for field in ("lo", "hi", "clo", "chi"):
-            assert np.array_equal(
-                getattr(bb, field)[:, multi],
-                getattr(fresh, field)[:, multi],
-            ), field
 
 
 # -- analytic init: quality parity and legality ------------------------
@@ -242,12 +151,6 @@ def test_unknown_init_raises(spam_impl):
     with pytest.raises(PlacementError, match="initial placement"):
         Annealer(netlist, packing, device,
                  PlacementOptions(init="quadratic"))
-
-
-def test_unknown_delta_mode_raises(spam_impl):
-    annealer = _forced(spam_impl, "sideways")
-    with pytest.raises(PlacementError, match="delta_mode"):
-        annealer._use_extremes()
 
 
 def test_coordinate_arrays_sized_by_cluster_domain(spam_impl):

@@ -3,7 +3,8 @@
 Everything runs against stub services (no training, no flow) through
 :func:`start_net_server`'s background event loop and the blocking
 :class:`NetClient` — the same harness the benchmark and CI smoke use.
-The trained-model network path is covered by the bench; here each edge
+The trained-model network path is covered by the bench, apart from one
+what-if override answered by a small real service; here each edge
 behavior is isolated and deterministic.
 """
 
@@ -29,6 +30,9 @@ from repro.serve import (
     ServerConfig,
     start_net_server,
 )
+from repro.flow.pipeline import FlowOptions
+from repro.kernels.combos import build_combined
+from repro.serve import CongestionService
 from repro.serve.net import request_from_wire, response_to_wire
 from repro.serve.protocol import recv_frame_sync, send_frame_sync
 from repro.serve.server import RegistryWatcher
@@ -132,10 +136,16 @@ def served(service=None, config=None, net_config=None):
 def test_request_from_wire_validation():
     request, timeout_s = request_from_wire(
         {"design": "fd", "variant": "v2", "top": 3, "timeout_ms": 1500,
-         "directives": [["loop", 1, 4], "x"]}
+         "directives": ["directives", [["top"]],
+                        [["top", "L", 4], ["a", "L", 2]], [], []]}
     )
-    assert request == PredictRequest("fd", variant="v2", top=3,
-                                     directives=(("loop", 1, 4), "x"))
+    # every JSON level back to a tuple, entries in canonical order
+    assert request == PredictRequest(
+        "fd", variant="v2", top=3,
+        directives=("directives", (("top",),),
+                    (("a", "L", 2), ("top", "L", 4)), (), ()),
+    )
+    hash(request.group_key)
     assert timeout_s == 1.5
     for bad in ({}, {"design": ""}, {"design": 7},
                 {"design": "fd", "top": 0},
@@ -143,6 +153,11 @@ def test_request_from_wire_validation():
                 {"design": "fd", "timeout_ms": 0},
                 {"design": "fd", "timeout_ms": "soon"},
                 {"design": "fd", "directives": "inline"},
+                {"design": "fd", "directives": [["loop", 1, 4], "x"]},
+                {"design": "fd",
+                 "directives": ["directives", [[{"fn": 1}]], [], [], []]},
+                {"design": "fd",
+                 "directives": ["directives", [], [["f", "L", 2.5]], [], []]},
                 {"design": "fd", "variant": ""}):
         with pytest.raises(ServeError):
             request_from_wire(bad)
@@ -166,6 +181,60 @@ def test_response_to_wire_is_json_ready():
 # ----------------------------------------------------------------------
 # the edge itself
 # ----------------------------------------------------------------------
+def test_malformed_directive_key_is_bad_request_and_server_keeps_serving():
+    with served() as handle:
+        with NetClient(handle.host, handle.port) as client:
+            for bad in (["loop", 1, 4],
+                        ["directives", [[{"fn": 1}]], [], [], []],
+                        ["directives", [["a"], [1]], [], [], []]):
+                with pytest.raises(ServeError, match="directives"):
+                    client.predict("fd", directives=bad)
+            assert client.predict("fd")["model_source"] == "stub"
+            stats = client.stats()
+            assert stats["net"]["bad_requests"] == 3
+            assert stats["worker_crashes"] == 0
+
+
+def test_whatif_override_over_tcp_gets_the_in_process_answer():
+    """A real ``DirectiveSet.to_key()`` arrives as nested JSON lists;
+    the edge must hand the service the same canonical key an
+    in-process caller would use."""
+    options = FlowOptions(scale=0.18, placement_effort="fast", seed=0)
+    combos = ("face_detection",)
+    service = CongestionService("linear", options=options, combos=combos,
+                                registry=None)
+    service.warm()
+    base = build_combined("face_detection", scale=options.scale)
+    key = base.directives.without_inlines().to_key()
+    # an independently computed in-process answer on the same model
+    local_service = CongestionService("linear", options=options,
+                                      combos=combos, registry=None,
+                                      prediction_cache=False)
+    local_service.adopt_predictor(service.predictor)
+    local = local_service.predict(
+        PredictRequest("face_detection", directives=key)
+    )
+
+    # clients may list entries in any order
+    wire_key = [key[0], *(list(reversed(kind)) for kind in key[1:])]
+    with served(service) as handle:
+        with NetClient(handle.host, handle.port,
+                       request_timeout_s=60.0) as client:
+            wire = client.predict("face_detection", directives=wire_key,
+                                  timeout_ms=30_000)
+            assert client.stats()["worker_crashes"] == 0
+
+    expected = response_to_wire(local)
+    for name in ("regions", "n_operations", "predicted_max_vertical",
+                 "predicted_max_horizontal", "latency_cycles",
+                 "resources"):
+        assert wire[name] == expected[name], name
+    # the wire request filled the prediction slot of the canonical key
+    hits = service.stats()["prediction_hits"]
+    service.predict(PredictRequest("face_detection", directives=key))
+    assert service.stats()["prediction_hits"] == hits + 1
+
+
 def test_predict_health_ready_stats_roundtrip():
     with served() as handle:
         with NetClient(handle.host, handle.port) as client:

@@ -338,14 +338,13 @@ def test_service_empty_batch():
     assert service.predict_batch([]) == []
 
 
-def test_design_memo_stays_pristine():
-    """The design memo hands out fresh, never-synthesized copies.
+def test_design_build_is_fresh_per_call():
+    """Every request gets its own, never-synthesized design instance.
 
-    The pipeline's HLS stage mutates the design module in place.
-    Memoizing the design *object* meant a second, stage-cache-cold use
-    re-synthesized an already-transformed module — double-applying the
-    directive transforms — which is why fresh-store tests used to clear
-    ``service._designs`` by hand.
+    The pipeline's HLS stage mutates the design module in place, so a
+    design *object* shared between calls would make a second,
+    stage-cache-cold use re-synthesize an already-transformed module —
+    double-applying the directive transforms.
     """
     import repro.util.cache as cache_mod
     from repro.util.cache import KeyedCache
@@ -357,15 +356,13 @@ def test_design_memo_stays_pristine():
     d1, token1 = service._build_design(request)
     d2, token2 = service._build_design(request)
     assert token1 == token2
-    assert d1 is not d2  # a fresh copy per use, never a shared instance
+    assert d1 is not d2  # a fresh instance per use, never a shared one
     assert d1.module is not d2.module
 
-    # Two stage-cache-cold predicts: each must synthesize a *pristine*
-    # copy from the memo.  With the old object memo the first cold run
-    # mutated the memoized design in place (directive transforms are
-    # destructive), and the second raised DirectiveError re-inlining a
-    # consumed function — which is why fresh-store tests hand-cleared
-    # the memo.
+    # Two stage-cache-cold predicts: each must synthesize an untouched
+    # design.  A shared instance would be mutated by the first cold run
+    # (directive transforms are destructive), and the second would raise
+    # DirectiveError re-inlining a consumed function.
     service.warm()
     old_store = cache_mod._GLOBAL_STORES["flow_stages"]
     try:
